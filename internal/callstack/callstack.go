@@ -198,9 +198,7 @@ func newProfile(nregions int) *Profile {
 
 // mergeRankProfiles folds per-rank partials into p in rank order. All
 // aggregations are exact integer sums and min/max folds, so the result is
-// identical to a serial single-pass accumulation — and identical whether
-// the partials came from materialized invocations (BuildProfile) or from
-// streaming replay (ProfileFromStreams).
+// identical to a serial single-pass accumulation.
 func mergeRankProfiles(p *Profile, partials []rankProfile) {
 	for _, part := range partials {
 		for id := range p.Regions {
@@ -226,85 +224,29 @@ func mergeRankProfiles(p *Profile, partials []rankProfile) {
 	}
 }
 
-// BuildProfile computes the flat profile of tr from the given per-rank
-// invocations (as produced by ReplayAll). Per-rank partial profiles are
-// aggregated in parallel and merged in rank order; all aggregations are
-// exact integer sums and min/max folds, so the result is identical to a
-// serial single-pass accumulation.
-func BuildProfile(tr *trace.Trace, all [][]Invocation) *Profile {
-	p := newProfile(len(tr.Regions))
-	partials, _ := parallel.Map(len(all), func(rank int) (rankProfile, error) {
-		part := newRankProfile(len(tr.Regions))
-		invs := all[rank]
-		for i := range invs {
-			inv := &invs[i]
-			rp := &part.regions[inv.Region]
-			rp.Count++
-			if !inv.Recursive {
-				rp.SumInclusive += inv.Inclusive()
-			}
-			rp.SumExclusive += inv.Exclusive()
-			if incl := inv.Inclusive(); incl > rp.MaxInclusive {
-				rp.MaxInclusive = incl
-			}
-			if incl := inv.Inclusive(); rp.MinInclusive < 0 || incl < rp.MinInclusive {
-				rp.MinInclusive = incl
-			}
-			part.seen[inv.Region] = true
-		}
-		return part, nil
-	})
-	mergeRankProfiles(p, partials)
-	for rank := range tr.Procs {
-		f, l := tr.Procs[rank].Span()
-		p.TotalTime += l - f
-	}
-	return p
-}
-
-// ProfileOf is a convenience wrapper: replay all ranks and build the flat
-// profile in one step.
+// ProfileOf computes the flat profile of tr: each rank is folded by a
+// StreamReplay and the partials merged with ProfileFromStreams — the
+// same fold the streaming engine performs, so both paths produce
+// byte-identical profiles.
 func ProfileOf(tr *trace.Trace) (*Profile, error) {
 	return ProfileOfContext(context.Background(), tr)
 }
 
-// ProfileOfContext is ProfileOf observing ctx; the replay fan-out — the
-// expensive phase — stops between ranks once ctx is cancelled.
+// ProfileOfContext is ProfileOf observing ctx; the per-rank replay
+// fan-out stops between ranks once ctx is cancelled. On failure the
+// error of the lowest failing rank is returned.
 func ProfileOfContext(ctx context.Context, tr *trace.Trace) (*Profile, error) {
-	all, err := ReplayAllContext(ctx, tr)
+	reps, err := parallel.MapCtx(ctx, tr.NumRanks(), func(rank int) (*StreamReplay, error) {
+		r := NewStreamReplay(tr.Procs[rank].Proc.Rank, len(tr.Regions))
+		for _, ev := range tr.Procs[rank].Events {
+			if err := r.Feed(ev); err != nil {
+				return nil, err
+			}
+		}
+		return r, r.Finish()
+	})
 	if err != nil {
 		return nil, err
 	}
-	return BuildProfile(tr, all), nil
-}
-
-// TimeInParadigm sums, per rank, the wall-clock time spent inside regions
-// of paradigm par (counting each interval once even when such regions
-// nest). The result is indexed by rank. This powers the "fraction of MPI"
-// statistics of the case studies.
-func TimeInParadigm(tr *trace.Trace, par trace.Paradigm) []trace.Duration {
-	out := make([]trace.Duration, tr.NumRanks())
-	parallel.Do(tr.NumRanks(), func(rank int) {
-		depth := 0
-		var start trace.Time
-		for _, ev := range tr.Procs[rank].Events {
-			switch ev.Kind {
-			case trace.KindEnter:
-				if tr.Region(ev.Region).Paradigm == par {
-					if depth == 0 {
-						start = ev.Time
-					}
-					depth++
-				}
-			case trace.KindLeave:
-				if tr.Region(ev.Region).Paradigm == par {
-					depth--
-					if depth == 0 {
-						out[rank] += ev.Time - start
-					}
-				}
-			}
-		}
-	})
-	return out
+	return ProfileFromStreams(len(tr.Regions), reps), nil
 }

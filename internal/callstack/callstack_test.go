@@ -108,7 +108,10 @@ func TestRecursionFlag(t *testing.T) {
 	if invs[0].Recursive || invs[1].Recursive || !invs[2].Recursive {
 		t.Fatalf("recursion flags: %v %v %v", invs[0].Recursive, invs[1].Recursive, invs[2].Recursive)
 	}
-	p := BuildProfile(tr, [][]Invocation{invs})
+	p, err := ProfileOf(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// f: outer 10 counted, inner 6 skipped (recursive).
 	if got := p.Regions[f].SumInclusive; got != 10 {
 		t.Errorf("f SumInclusive = %d, want 10", got)
@@ -154,29 +157,6 @@ func TestBuildProfile(t *testing.T) {
 	}
 	if p.TotalTime != 20 {
 		t.Fatalf("TotalTime = %d, want 20", p.TotalTime)
-	}
-}
-
-func TestTimeInParadigm(t *testing.T) {
-	tr := trace.New("mpi", 1)
-	main := tr.AddRegion("main", trace.ParadigmUser, trace.RoleFunction)
-	bar := tr.AddRegion("MPI_Barrier", trace.ParadigmMPI, trace.RoleBarrier)
-	wait := tr.AddRegion("MPI_Wait", trace.ParadigmMPI, trace.RoleWait)
-	tr.Append(0, trace.Enter(0, main))
-	tr.Append(0, trace.Enter(2, bar))
-	tr.Append(0, trace.Enter(3, wait)) // nested MPI: counted once
-	tr.Append(0, trace.Leave(5, wait))
-	tr.Append(0, trace.Leave(6, bar))
-	tr.Append(0, trace.Enter(8, wait))
-	tr.Append(0, trace.Leave(9, wait))
-	tr.Append(0, trace.Leave(10, main))
-	got := TimeInParadigm(tr, trace.ParadigmMPI)
-	if got[0] != 5 { // [2,6) + [8,9)
-		t.Fatalf("MPI time = %d, want 5", got[0])
-	}
-	user := TimeInParadigm(tr, trace.ParadigmUser)
-	if user[0] != 10 {
-		t.Fatalf("user time = %d, want 10", user[0])
 	}
 }
 
@@ -254,19 +234,6 @@ func TestReplayAllPropagatesError(t *testing.T) {
 	tr.Append(1, trace.Enter(0, f)) // unclosed
 	if _, err := ReplayAll(tr); err == nil {
 		t.Fatal("no error for unclosed rank 1")
-	}
-}
-
-func TestTimeInParadigmMultiRank(t *testing.T) {
-	tr := trace.New("multi", 2)
-	mpi := tr.AddRegion("MPI_Barrier", trace.ParadigmMPI, trace.RoleBarrier)
-	tr.Append(0, trace.Enter(0, mpi))
-	tr.Append(0, trace.Leave(4, mpi))
-	tr.Append(1, trace.Enter(2, mpi))
-	tr.Append(1, trace.Leave(10, mpi))
-	got := TimeInParadigm(tr, trace.ParadigmMPI)
-	if got[0] != 4 || got[1] != 8 {
-		t.Fatalf("per-rank MPI time = %v", got)
 	}
 }
 

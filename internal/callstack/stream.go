@@ -11,10 +11,9 @@ import (
 // streaming analysis engine's single pass. Instead of materializing an
 // Invocation slice per rank (48 bytes per call), a StreamReplay folds one
 // rank's event stream directly into that rank's flat-profile partial.
-// Memory is O(call depth + regions), independent of trace length, and the
-// accumulation performs exactly the integer sums and min/max folds
-// BuildProfile performs per invocation — so the merged Profile is
-// byte-identical to the materialized path's.
+// Memory is O(call depth + regions), independent of trace length. It is
+// the one profile fold: ProfileOf runs it over materialized traces too,
+// so both paths' merged Profiles are byte-identical.
 
 // streamFrame is one open invocation on the streaming replay stack.
 type streamFrame struct {
@@ -159,9 +158,7 @@ func (r *StreamReplay) Span() (first, last trace.Time, ok bool) {
 }
 
 // ProfileFromStreams merges finished per-rank accumulators, in rank
-// order, into the flat profile — the streaming counterpart of
-// BuildProfile, sharing its exact-integer merge so the two produce
-// byte-identical profiles.
+// order, into the flat profile.
 func ProfileFromStreams(nregions int, parts []*StreamReplay) *Profile {
 	p := newProfile(nregions)
 	partials := make([]rankProfile, len(parts))

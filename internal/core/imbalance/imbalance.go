@@ -345,68 +345,10 @@ func (a *Analysis) SlowestRank() trace.Rank {
 // as "the fraction of MPI increases towards the end of the run" (paper
 // Fig. 4a).
 func ParadigmFractionTimeline(tr *trace.Trace, par trace.Paradigm, bins int) []float64 {
-	if bins <= 0 {
-		return nil
-	}
 	first, last := tr.Span()
-	out := make([]float64, bins)
-	if last <= first {
-		return out
-	}
-	span := last - first
-	// Accumulate in int64 nanoseconds: every clipped interval is an
-	// exact integer, integer addition is order-independent, and the one
-	// float64 conversion below happens after the final sum — the same
-	// contract the streaming engine's mpiBinner keeps, which is what
-	// makes the two paths' fractions byte-identical.
-	inPar := make([]int64, bins)
-	addInterval := func(acc []int64, from, to trace.Time) {
-		if to <= from {
-			return
-		}
-		for b := 0; b < bins; b++ {
-			bStart := first + span*trace.Time(b)/trace.Time(bins)
-			bEnd := first + span*trace.Time(b+1)/trace.Time(bins)
-			lo, hi := from, to
-			if lo < bStart {
-				lo = bStart
-			}
-			if hi > bEnd {
-				hi = bEnd
-			}
-			if hi > lo {
-				acc[b] += int64(hi - lo)
-			}
-		}
-	}
-	for rank := range tr.Procs {
-		depth := 0
-		var start trace.Time
-		for _, ev := range tr.Procs[rank].Events {
-			switch ev.Kind {
-			case trace.KindEnter:
-				if tr.Region(ev.Region).Paradigm == par {
-					if depth == 0 {
-						start = ev.Time
-					}
-					depth++
-				}
-			case trace.KindLeave:
-				if tr.Region(ev.Region).Paradigm == par {
-					depth--
-					if depth == 0 {
-						addInterval(inPar, start, ev.Time)
-					}
-				}
-			}
-		}
-	}
-	binWidth := float64(span) / float64(bins)
-	denom := binWidth * float64(tr.NumRanks())
-	for b := range out {
-		out[b] = float64(inPar[b]) / denom
-	}
-	return out
+	bn := NewIntervalBinner(first, last, bins)
+	paradigmIntervals(tr, par, bn.Add)
+	return bn.Fractions(tr.NumRanks())
 }
 
 // MPIFractionTimeline is ParadigmFractionTimeline for the MPI paradigm.
@@ -417,24 +359,20 @@ func MPIFractionTimeline(tr *trace.Trace, bins int) []float64 {
 // ParadigmFractionBetween returns the fraction of aggregate rank-time in
 // the window [from, to] spent inside regions of paradigm par. Use it to
 // measure phase-local overheads, e.g. the MPI share of the iteration phase
-// excluding initialization.
+// excluding initialization. It is the one-bin timeline of the window.
 func ParadigmFractionBetween(tr *trace.Trace, par trace.Paradigm, from, to trace.Time) float64 {
-	if to <= from {
-		return 0
-	}
-	// int64 until the final division, as in ParadigmFractionTimeline.
-	var inPar trace.Duration
-	clip := func(a, b trace.Time) trace.Duration {
-		if a < from {
-			a = from
-		}
-		if b > to {
-			b = to
-		}
-		if b > a {
-			return b - a
-		}
-		return 0
+	bn := NewIntervalBinner(from, to, 1)
+	paradigmIntervals(tr, par, bn.Add)
+	return bn.Fractions(tr.NumRanks())[0]
+}
+
+// paradigmIntervals calls add with every maximal interval each rank
+// spends inside regions of paradigm par: an interval opens when the
+// paradigm's nesting depth leaves zero and closes when it returns.
+func paradigmIntervals(tr *trace.Trace, par trace.Paradigm, add func(from, to trace.Time)) {
+	inPar := make([]bool, len(tr.Regions))
+	for i, r := range tr.Regions {
+		inPar[i] = r.Paradigm == par
 	}
 	for rank := range tr.Procs {
 		depth := 0
@@ -442,21 +380,81 @@ func ParadigmFractionBetween(tr *trace.Trace, par trace.Paradigm, from, to trace
 		for _, ev := range tr.Procs[rank].Events {
 			switch ev.Kind {
 			case trace.KindEnter:
-				if tr.Region(ev.Region).Paradigm == par {
+				if inPar[ev.Region] {
 					if depth == 0 {
 						start = ev.Time
 					}
 					depth++
 				}
 			case trace.KindLeave:
-				if tr.Region(ev.Region).Paradigm == par {
+				if inPar[ev.Region] {
 					depth--
 					if depth == 0 {
-						inPar += clip(start, ev.Time)
+						add(start, ev.Time)
 					}
 				}
 			}
 		}
 	}
-	return float64(inPar) / (float64(to-from) * float64(tr.NumRanks()))
+}
+
+// IntervalBinner accumulates, per equal-width time bin of [first, last],
+// the nanoseconds covered by the intervals added to it — the MPI-share
+// timeline's one binner, shared by the streaming engine and the
+// materialized helpers. It accumulates in integer nanoseconds with
+// truncating bin boundaries: every clipped interval is an exact integer,
+// integer addition is order-independent, and the one float64 conversion
+// in Fractions happens after the final sum, so any feeding order yields
+// the same fractions (exact up to 2^53 ns of aggregate time per bin,
+// beyond any real trace).
+type IntervalBinner struct {
+	first trace.Time
+	span  trace.Time
+	acc   []int64
+}
+
+// NewIntervalBinner returns a binner of bins windows over [first, last].
+// bins <= 0 yields a binner whose Fractions are nil.
+func NewIntervalBinner(first, last trace.Time, bins int) *IntervalBinner {
+	return &IntervalBinner{first: first, span: last - first, acc: make([]int64, max(bins, 0))}
+}
+
+// Add credits the interval [from, to) to the bins it overlaps.
+func (m *IntervalBinner) Add(from, to trace.Time) {
+	if to <= from {
+		return
+	}
+	bins := trace.Time(len(m.acc))
+	for b := trace.Time(0); b < bins; b++ {
+		bStart := m.first + m.span*b/bins
+		bEnd := m.first + m.span*(b+1)/bins
+		lo, hi := from, to
+		if lo < bStart {
+			lo = bStart
+		}
+		if hi > bEnd {
+			hi = bEnd
+		}
+		if hi > lo {
+			m.acc[b] += int64(hi - lo)
+		}
+	}
+}
+
+// Fractions returns, per bin, the covered share of nranks ranks' time in
+// that bin; all zero when the span is empty, nil when there are no bins.
+func (m *IntervalBinner) Fractions(nranks int) []float64 {
+	if len(m.acc) == 0 {
+		return nil
+	}
+	out := make([]float64, len(m.acc))
+	if m.span <= 0 {
+		return out
+	}
+	binWidth := float64(m.span) / float64(len(m.acc))
+	denom := binWidth * float64(nranks)
+	for b := range out {
+		out[b] = float64(m.acc[b]) / denom
+	}
+	return out
 }

@@ -14,7 +14,6 @@ package segment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 
 	"perfvar/internal/parallel"
@@ -123,81 +122,31 @@ func Compute(tr *trace.Trace, region trace.RegionID, cls SyncClassifier) (*Matri
 // fan-out stops between ranks once ctx is cancelled and returns
 // ctx.Err().
 func ComputeContext(ctx context.Context, tr *trace.Trace, region trace.RegionID, cls SyncClassifier) (*Matrix, error) {
-	if !tr.ValidRegion(region) {
-		return nil, fmt.Errorf("segment: region %d not defined", region)
-	}
-	if cls == nil {
-		cls = DefaultSync
-	}
-	if cls.IsSync(tr.Region(region)) {
-		return nil, fmt.Errorf("%w (region %q; choose a user-code region or adjust the classifier)",
-			ErrSyncRegion, tr.Region(region).Name)
+	syncMask, err := Prepare(tr.Regions, region, cls)
+	if err != nil {
+		return nil, err
 	}
 	m := &Matrix{
 		Region:     region,
 		RegionName: tr.Region(region).Name,
 	}
 	perRank, err := parallel.MapCtx(ctx, tr.NumRanks(), func(rank int) ([]Segment, error) {
-		return computeRank(tr, &tr.Procs[rank], region, cls)
+		pt := &tr.Procs[rank]
+		k := NewRegionSegmenter(pt.Proc.Rank, region, syncMask)
+		for _, ev := range pt.Events {
+			k.Feed(ev)
+		}
+		if err := k.Finish(); err != nil {
+			return nil, err
+		}
+		segs, _ := k.Segments(region) // ok: Finish returned nil
+		return segs, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	m.PerRank = perRank
 	return m, nil
-}
-
-func computeRank(tr *trace.Trace, pt *trace.ProcessTrace, region trace.RegionID, cls SyncClassifier) ([]Segment, error) {
-	var (
-		segs      []Segment
-		domDepth  int
-		syncDepth int
-		syncStart trace.Time
-		cur       Segment
-	)
-	for i, ev := range pt.Events {
-		switch ev.Kind {
-		case trace.KindEnter:
-			if ev.Region == region {
-				if domDepth == 0 {
-					cur = Segment{Rank: pt.Proc.Rank, Index: len(segs), Start: ev.Time}
-				}
-				domDepth++
-			}
-			if domDepth > 0 && cls.IsSync(tr.Region(ev.Region)) {
-				if syncDepth == 0 {
-					syncStart = ev.Time
-				}
-				syncDepth++
-			}
-		case trace.KindLeave:
-			if domDepth > 0 && cls.IsSync(tr.Region(ev.Region)) {
-				syncDepth--
-				if syncDepth == 0 {
-					cur.Sync += ev.Time - syncStart
-				}
-				if syncDepth < 0 {
-					return nil, fmt.Errorf("segment: rank %d event %d: unbalanced sync nesting", pt.Proc.Rank, i)
-				}
-			}
-			if ev.Region == region {
-				domDepth--
-				if domDepth < 0 {
-					return nil, fmt.Errorf("segment: rank %d event %d: leave of %q without enter",
-						pt.Proc.Rank, i, tr.Region(region).Name)
-				}
-				if domDepth == 0 {
-					cur.End = ev.Time
-					segs = append(segs, cur)
-				}
-			}
-		}
-	}
-	if domDepth != 0 {
-		return nil, fmt.Errorf("segment: rank %d: %d unclosed invocations of %q",
-			pt.Proc.Rank, domDepth, tr.Region(region).Name)
-	}
-	return segs, nil
 }
 
 // NumRanks returns the number of ranks covered by the matrix.

@@ -2,8 +2,10 @@ package segment
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -610,5 +612,218 @@ func TestComputeRejectsSyncRegion(t *testing.T) {
 	// A classifier that does not cover the region keeps working.
 	if _, err := Compute(tr, allred, NameSync{"omp_"}); err != nil {
 		t.Fatalf("Compute(non-matching classifier) error = %v", err)
+	}
+}
+
+// referenceSegments states the paper's SOS-time rule literally, as a
+// depth-counter walk over one rank's events: a segment spans an
+// outermost invocation of region, and its sync time is the union of the
+// maximal intervals spent inside sync-classified regions within it. It
+// is the test oracle for the call-stack kernel (CandidateSet), which
+// must agree with it field for field on every well-nested stream.
+func referenceSegments(rank trace.Rank, events []trace.Event, region trace.RegionID, sync []bool) ([]Segment, error) {
+	var (
+		segs      []Segment
+		domDepth  int
+		syncDepth int
+		syncStart trace.Time
+		cur       Segment
+	)
+	for i, ev := range events {
+		switch ev.Kind {
+		case trace.KindEnter:
+			if ev.Region == region {
+				if domDepth == 0 {
+					cur = Segment{Rank: rank, Index: len(segs), Start: ev.Time}
+				}
+				domDepth++
+			}
+			if domDepth > 0 && sync[ev.Region] {
+				if syncDepth == 0 {
+					syncStart = ev.Time
+				}
+				syncDepth++
+			}
+		case trace.KindLeave:
+			if domDepth > 0 && sync[ev.Region] {
+				syncDepth--
+				if syncDepth == 0 {
+					cur.Sync += ev.Time - syncStart
+				}
+				if syncDepth < 0 {
+					return nil, fmt.Errorf("rank %d event %d: unbalanced sync nesting", rank, i)
+				}
+			}
+			if ev.Region == region {
+				domDepth--
+				if domDepth < 0 {
+					return nil, fmt.Errorf("rank %d event %d: leave without enter", rank, i)
+				}
+				if domDepth == 0 {
+					cur.End = ev.Time
+					segs = append(segs, cur)
+				}
+			}
+		}
+	}
+	if domDepth != 0 {
+		return nil, fmt.Errorf("rank %d: %d unclosed invocations", rank, domDepth)
+	}
+	return segs, nil
+}
+
+// kernelRegions is the region table of the differential test: three
+// tracked user regions and two sync regions.
+var kernelRegions = []trace.Region{
+	{ID: 0, Name: "dom", Paradigm: trace.ParadigmUser},
+	{ID: 1, Name: "u1", Paradigm: trace.ParadigmUser},
+	{ID: 2, Name: "u2", Paradigm: trace.ParadigmUser},
+	{ID: 3, Name: "MPI_Wait", Paradigm: trace.ParadigmMPI, Role: trace.RoleWait},
+	{ID: 4, Name: "MPI_Allreduce", Paradigm: trace.ParadigmMPI, Role: trace.RoleCollective},
+}
+
+// randomNestedEvents generates a random well-nested stream over
+// kernelRegions: any region may open inside any other, so the stream
+// holds nested sync, self-nested tracked regions, tracked regions under
+// sync, zero-length intervals, and interleaved sample events.
+func randomNestedEvents(rng *rand.Rand) []trace.Event {
+	var evs []trace.Event
+	var stack []trace.RegionID
+	now := trace.Time(0)
+	for op := rng.Intn(60); op > 0 || len(stack) > 0; op-- {
+		now += trace.Time(rng.Intn(4))
+		switch {
+		case op > 0 && rng.Intn(8) == 0:
+			evs = append(evs, trace.Sample(now, 0, 1))
+		case op > 0 && (len(stack) == 0 || rng.Intn(2) == 0):
+			r := trace.RegionID(rng.Intn(len(kernelRegions)))
+			evs = append(evs, trace.Enter(now, r))
+			stack = append(stack, r)
+		default:
+			evs = append(evs, trace.Leave(now, stack[len(stack)-1]))
+			stack = stack[:len(stack)-1]
+		}
+	}
+	return evs
+}
+
+// TestKernelMatchesReference is the differential property test of the
+// call-stack kernel: on random well-nested streams, every tracked region
+// that stayed within budget reports exactly the reference's segments, an
+// evicted region reports ok == false, and untracked regions never
+// answer.
+func TestKernelMatchesReference(t *testing.T) {
+	sync := SyncMask(kernelRegions, nil)
+	track := []bool{true, true, true, false, false}
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 3000; iter++ {
+		evs := randomNestedEvents(rng)
+		rank := trace.Rank(iter % 5)
+		want := make([][]Segment, len(kernelRegions))
+		total := 0
+		for r := range kernelRegions {
+			segs, err := referenceSegments(rank, evs, trace.RegionID(r), sync)
+			if err != nil {
+				t.Fatalf("iter %d: reference rejected a well-nested stream: %v", iter, err)
+			}
+			want[r] = segs
+			if track[r] {
+				total += len(segs)
+			}
+		}
+		for _, budget := range []int{1, 4, 0} {
+			k := NewCandidateSet(rank, track, sync, budget)
+			for _, ev := range evs {
+				k.Feed(ev)
+			}
+			if err := k.Finish(); err != nil {
+				t.Fatalf("iter %d budget %d: %v", iter, budget, err)
+			}
+			limit := budget
+			if limit <= 0 {
+				limit = DefaultCandidateBudget
+			}
+			kept := 0
+			for r := range kernelRegions {
+				got, ok := k.Segments(trace.RegionID(r))
+				if !track[r] {
+					if ok {
+						t.Fatalf("iter %d: untracked region %d answered", iter, r)
+					}
+					continue
+				}
+				if !ok {
+					if total <= limit {
+						t.Fatalf("iter %d budget %d: region %d evicted with %d records in budget", iter, budget, r, total)
+					}
+					continue
+				}
+				kept += len(got)
+				if len(got) != len(want[r]) || (len(got) > 0 && !reflect.DeepEqual(got, want[r])) {
+					t.Fatalf("iter %d budget %d region %d:\n got %+v\nwant %+v", iter, budget, r, got, want[r])
+				}
+			}
+			if kept > limit {
+				t.Fatalf("iter %d budget %d: %d records kept over budget", iter, budget, kept)
+			}
+		}
+	}
+}
+
+// TestKernelRejectsMalformedStreams pins the kernel's structural errors:
+// each names the rank and the index of the violating event, and a
+// violated stream answers no Segments query.
+func TestKernelRejectsMalformedStreams(t *testing.T) {
+	cases := []struct {
+		name string
+		evs  []trace.Event
+		want string
+	}{
+		{"undefined region", []trace.Event{trace.Enter(0, 0), trace.Enter(1, 9)}, "rank 3 event 1: undefined region 9"},
+		{"undefined leave", []trace.Event{trace.Enter(0, 0), trace.Leave(1, -1)}, "rank 3 event 1: undefined region -1"},
+		{"leave without enter", []trace.Event{trace.Sample(0, 0, 1), trace.Leave(1, 1)}, "rank 3 event 1: leave of region 1 without enter"},
+		{"mismatched leave", []trace.Event{trace.Enter(0, 1), trace.Enter(1, 2), trace.Leave(2, 1)}, "rank 3 event 2: leave of region 1 while inside 2"},
+		{"leave before enter", []trace.Event{trace.Enter(5, 0), trace.Leave(4, 0)}, "rank 3 event 1: leave at 4 before enter at 5"},
+		{"unclosed", []trace.Event{trace.Enter(0, 0), trace.Enter(1, 3), trace.Leave(2, 3)}, "rank 3: 1 unclosed invocations"},
+		{"first violation wins", []trace.Event{trace.Leave(0, 2), trace.Enter(1, 9)}, "rank 3 event 0: leave of region 2 without enter"},
+	}
+	sync := SyncMask(kernelRegions, nil)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewRegionSegmenter(3, 0, sync)
+			for _, ev := range tc.evs {
+				k.Feed(ev)
+			}
+			err := k.Finish()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to contain %q", err, tc.want)
+			}
+			if _, ok := k.Segments(0); ok {
+				t.Fatal("violated stream still answers Segments")
+			}
+		})
+	}
+}
+
+// TestKernelDrainKeepsIndex pins the hand-off path the online detector
+// uses: drained segments are forgotten, and Index keeps counting.
+func TestKernelDrainKeepsIndex(t *testing.T) {
+	k := NewRegionSegmenter(0, 0, SyncMask(kernelRegions, nil))
+	var got []int
+	for i := 0; i < 5; i++ {
+		k.Feed(trace.Enter(trace.Time(2*i), 0))
+		k.Feed(trace.Leave(trace.Time(2*i+1), 0))
+		if i == 2 {
+			continue // two completions drained together below
+		}
+		for _, seg := range k.Drain(0) {
+			got = append(got, seg.Index)
+		}
+	}
+	if !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("drained indices %v", got)
+	}
+	if segs, ok := k.Segments(0); !ok || len(segs) != 0 {
+		t.Fatalf("after draining: %v, %v", segs, ok)
 	}
 }

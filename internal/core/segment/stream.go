@@ -6,13 +6,9 @@ import (
 	"perfvar/internal/trace"
 )
 
-// Streaming segmentation: the incremental form of Compute's per-rank
-// pass, used by the streaming analysis engine's fallback pass (and by
-// the streaming lint runner's segmentation facts). A
-// StreamSegmenter consumes one rank's events and emits completed segments
-// with SOS-times; memory is O(completed segments), independent of event
-// count. The state machine and every error mirror computeRank exactly, so
-// streaming and materialized segmentation are byte-identical.
+// Streaming segmentation setup: the per-region sync verdicts every
+// call-stack kernel (CandidateSet) consumes, computed once per trace
+// instead of once per event.
 
 // SyncMask precomputes the classifier verdict for every region, turning
 // the per-event classification into a slice index. A nil classifier means
@@ -31,7 +27,7 @@ func SyncMask(regions []trace.Region, cls SyncClassifier) []bool {
 // Prepare validates a streaming segmentation up front — the region must
 // be defined and must not itself classify as synchronization
 // (ErrSyncRegion, with Compute's wording) — and returns the per-region
-// sync mask for NewStreamSegmenter.
+// sync mask for the kernel.
 func Prepare(regions []trace.Region, region trace.RegionID, cls SyncClassifier) ([]bool, error) {
 	if region < 0 || int(region) >= len(regions) {
 		return nil, fmt.Errorf("segment: region %d not defined", region)
@@ -44,86 +40,4 @@ func Prepare(regions []trace.Region, region trace.RegionID, cls SyncClassifier) 
 			ErrSyncRegion, regions[region].Name)
 	}
 	return SyncMask(regions, cls), nil
-}
-
-// StreamSegmenter cuts one rank's event stream into dominant-region
-// segments. Feed events in stream order, then call Finish to collect the
-// segments.
-type StreamSegmenter struct {
-	rank       trace.Rank
-	region     trace.RegionID
-	regionName string
-	sync       []bool // per-region classifier verdicts (SyncMask)
-	segs       []Segment
-	domDepth   int
-	syncDepth  int
-	syncStart  trace.Time
-	cur        Segment
-	events     int64
-}
-
-// NewStreamSegmenter returns a segmenter for one rank, cutting at region
-// (whose name is only used in error messages). syncMask comes from
-// SyncMask or Prepare.
-func NewStreamSegmenter(rank trace.Rank, region trace.RegionID, regionName string, syncMask []bool) *StreamSegmenter {
-	return &StreamSegmenter{rank: rank, region: region, regionName: regionName, sync: syncMask}
-}
-
-// Feed consumes one event.
-func (s *StreamSegmenter) Feed(ev trace.Event) error {
-	i := s.events
-	s.events++
-	switch ev.Kind {
-	case trace.KindEnter:
-		if ev.Region < 0 || int(ev.Region) >= len(s.sync) {
-			return fmt.Errorf("segment: rank %d event %d: undefined region %d", s.rank, i, ev.Region)
-		}
-		if ev.Region == s.region {
-			if s.domDepth == 0 {
-				s.cur = Segment{Rank: s.rank, Index: len(s.segs), Start: ev.Time}
-			}
-			s.domDepth++
-		}
-		if s.domDepth > 0 && s.sync[ev.Region] {
-			if s.syncDepth == 0 {
-				s.syncStart = ev.Time
-			}
-			s.syncDepth++
-		}
-	case trace.KindLeave:
-		if ev.Region < 0 || int(ev.Region) >= len(s.sync) {
-			return fmt.Errorf("segment: rank %d event %d: undefined region %d", s.rank, i, ev.Region)
-		}
-		if s.domDepth > 0 && s.sync[ev.Region] {
-			s.syncDepth--
-			if s.syncDepth == 0 {
-				s.cur.Sync += ev.Time - s.syncStart
-			}
-			if s.syncDepth < 0 {
-				return fmt.Errorf("segment: rank %d event %d: unbalanced sync nesting", s.rank, i)
-			}
-		}
-		if ev.Region == s.region {
-			s.domDepth--
-			if s.domDepth < 0 {
-				return fmt.Errorf("segment: rank %d event %d: leave of %q without enter",
-					s.rank, i, s.regionName)
-			}
-			if s.domDepth == 0 {
-				s.cur.End = ev.Time
-				s.segs = append(s.segs, s.cur)
-			}
-		}
-	}
-	return nil
-}
-
-// Finish returns the completed segments, failing on unbalanced streams
-// with computeRank's wording.
-func (s *StreamSegmenter) Finish() ([]Segment, error) {
-	if s.domDepth != 0 {
-		return nil, fmt.Errorf("segment: rank %d: %d unclosed invocations of %q",
-			s.rank, s.domDepth, s.regionName)
-	}
-	return s.segs, nil
 }

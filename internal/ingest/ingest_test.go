@@ -446,3 +446,23 @@ func TestPolicyMinRelDeviation(t *testing.T) {
 		t.Errorf("zero gate missed +1%% excess (%d alerts)", got)
 	}
 }
+
+// TestSessionPoisonedByMismatchedLeave: a leave that does not match the
+// innermost open region is a structural violation even when no dominant
+// invocation is involved; the analyzer rejects it mid-frame, which
+// poisons the session for every later frame.
+func TestSessionPoisonedByMismatchedLeave(t *testing.T) {
+	m := newTestManager(t, Config{})
+	req := testRequest(2, PolicySpec{})
+	req.Regions = append(req.Regions, RegionSpec{Name: "helper"})
+	s, err := m.Create(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := feed(t, s, 0, trace.Enter(0, 0), trace.Enter(1, 2), trace.Leave(2, 0)); err == nil {
+		t.Fatal("mismatched leave accepted")
+	}
+	if err := feed(t, s, 1, trace.Enter(0, 1), trace.Leave(1, 1)); err == nil {
+		t.Fatal("poisoned session accepted a later frame")
+	}
+}

@@ -54,8 +54,7 @@ type StreamRun struct {
 	barrierDone bool
 	segRegion   trace.RegionID
 	segName     string
-	segmenters  []*segment.StreamSegmenter
-	segErr      []error
+	segmenters  []*segment.CandidateSet
 	segRes      [][]segment.Segment
 }
 
@@ -298,11 +297,10 @@ scanBroken:
 		return
 	}
 	r.segName = f.regionName(r.segRegion)
-	r.segmenters = make([]*segment.StreamSegmenter, f.nranks)
-	r.segErr = make([]error, f.nranks)
+	r.segmenters = make([]*segment.CandidateSet, f.nranks)
 	r.segRes = make([][]segment.Segment, f.nranks)
 	for rank := 0; rank < f.nranks; rank++ {
-		r.segmenters[rank] = segment.NewStreamSegmenter(trace.Rank(rank), r.segRegion, r.segName, mask)
+		r.segmenters[rank] = segment.NewRegionSegmenter(trace.Rank(rank), r.segRegion, mask)
 	}
 }
 
@@ -334,29 +332,19 @@ func (r *StreamRun) AdoptSegments(perRank [][]segment.Segment) {
 
 // FeedSegment consumes one event of the second streaming pass. It
 // returns false once the rank's segmenter failed — the caller may stop
-// feeding that rank early (or keep feeding; extra events are ignored).
+// feeding that rank early (or keep feeding; the first violation stands).
 func (r *StreamRun) FeedSegment(rank int, ev trace.Event) bool {
-	if r.segErr[rank] != nil {
-		return false
-	}
-	if err := r.segmenters[rank].Feed(ev); err != nil {
-		r.segErr[rank] = err
-		return false
-	}
-	return true
+	k := r.segmenters[rank]
+	k.Feed(ev)
+	return k.Err() == nil
 }
 
 // EndSegmentRank seals one rank of the second streaming pass.
 func (r *StreamRun) EndSegmentRank(rank int) {
-	if r.segErr[rank] != nil {
-		return
+	k := r.segmenters[rank]
+	if k.Finish() == nil {
+		r.segRes[rank], _ = k.Segments(r.segRegion) // ok: Finish returned nil
 	}
-	segs, err := r.segmenters[rank].Finish()
-	if err != nil {
-		r.segErr[rank] = err
-		return
-	}
-	r.segRes[rank] = segs
 }
 
 func (r *StreamRun) finishSegments() {
@@ -370,7 +358,7 @@ func (r *StreamRun) finishSegments() {
 		return
 	}
 	for rank := 0; rank < f.nranks; rank++ {
-		if err := r.segErr[rank]; err != nil {
+		if err := r.segmenters[rank].Err(); err != nil {
 			// Lowest failing rank wins, matching segment.Compute's
 			// parallel error selection.
 			f.segmentsErr = err

@@ -7,8 +7,9 @@
 // An Analyzer consumes events rank-by-rank as they are produced (each
 // rank's stream must be fed in time order, ranks may interleave
 // arbitrarily — the same guarantee a per-node measurement daemon has). It
-// maintains the segment state machine of the dominant function per rank,
-// finishes segments incrementally, keeps a bounded deterministic
+// walks each rank's call stack through the segmentation kernel
+// (segment.CandidateSet) tracking only the dominant function, scores
+// segments the moment they close, keeps a bounded deterministic
 // reservoir of SOS-times for robust statistics, and raises an Alert the
 // moment a completed segment deviates — while the application would still
 // be running, instead of after trace collection.
@@ -42,8 +43,6 @@ type Options struct {
 	// analysis. nil applies the default (5 %); RelDeviation(v) with
 	// v >= 0 requires exactly v — including zero, which only the pointer
 	// form can express; any negative value disables the gate entirely.
-	// LegacyMinRelDeviation converts values that used the pre-pointer
-	// sentinel encoding.
 	MinRelDeviation *float64
 	// Warmup is the number of segments to observe before alerting
 	// (default 32): the estimator needs a baseline first.
@@ -56,18 +55,6 @@ type Options struct {
 // RelDeviation returns a pointer to v, for setting
 // Options.MinRelDeviation inline.
 func RelDeviation(v float64) *float64 { return &v }
-
-// LegacyMinRelDeviation converts the historical MinRelDeviation sentinel
-// encoding — 0 meant "default 5 %", negative meant "disable" — into the
-// pointer form. New code should set Options.MinRelDeviation directly;
-// this shim exists for callers migrating stored configuration that used
-// the old float semantics.
-func LegacyMinRelDeviation(v float64) *float64 {
-	if v == 0 {
-		return nil
-	}
-	return RelDeviation(v)
-}
 
 func (o Options) withDefaults() Options {
 	if o.ZThreshold == 0 {
@@ -143,36 +130,30 @@ func (c Config) NewAnalyzer() (*Analyzer, error) {
 	if c.Ranks <= 0 {
 		return nil, fmt.Errorf("online: nranks = %d", c.Ranks)
 	}
-	if dom < 0 || int(dom) >= len(c.Regions) {
-		return nil, fmt.Errorf("online: dominant region %d undefined", dom)
-	}
-	cls := c.Classifier
-	if cls == nil {
-		cls = segment.DefaultSync
+	syncMask, err := segment.Prepare(c.Regions, dom, c.Classifier)
+	if err != nil {
+		return nil, fmt.Errorf("online: dominant: %w", err)
 	}
 	a := &Analyzer{
 		opts:      c.Options.withDefaults(),
 		region:    dom,
 		regions:   c.Regions,
-		cls:       cls,
 		ranks:     make([]rankState, c.Ranks),
 		rngState:  0x9e3779b97f4a7c15,
 		onSegment: c.OnSegment,
+	}
+	for rank := range a.ranks {
+		a.ranks[rank].seg = segment.NewRegionSegmenter(trace.Rank(rank), dom, syncMask)
 	}
 	a.minRel, a.minRelOn = resolveMinRel(c.Options.MinRelDeviation)
 	return a, nil
 }
 
-// rankState is the per-rank segment state machine (the incremental
-// version of segment.computeRank).
+// rankState is one rank's call-stack kernel plus its time-order guard.
 type rankState struct {
-	domDepth  int
-	syncDepth int
-	syncStart trace.Time
-	cur       segment.Segment
-	count     int
-	lastTime  trace.Time
-	started   bool
+	seg      *segment.CandidateSet
+	lastTime trace.Time
+	started  bool
 }
 
 // Analyzer is the streaming detector. Not safe for concurrent use; a
@@ -181,7 +162,6 @@ type Analyzer struct {
 	opts      Options
 	region    trace.RegionID
 	regions   []trace.Region
-	cls       segment.SyncClassifier
 	ranks     []rankState
 	resv      []float64
 	seen      int
@@ -203,20 +183,11 @@ type Analyzer struct {
 	statsAt              int
 }
 
-// New builds an analyzer for nranks ranks that segments at the given
-// dominant region. The region table supplies paradigm/role information
-// for the classifier (nil classifier means segment.DefaultSync).
-//
-// Deprecated: use Config.NewAnalyzer, which names every knob and also
-// carries the ones a positional signature cannot grow (DominantName,
-// OnSegment). New remains as a thin wrapper for existing callers.
-func New(nranks int, regions []trace.Region, dominant trace.RegionID, cls segment.SyncClassifier, opts Options) (*Analyzer, error) {
-	return Config{Ranks: nranks, Regions: regions, Dominant: dominant, Classifier: cls, Options: opts}.NewAnalyzer()
-}
-
 // Feed consumes one event of rank. Events of the same rank must arrive in
 // time order. It returns an alert if this event completed a deviating
-// segment, or nil.
+// segment, or nil. A call-stack violation (a leave that does not match
+// the innermost open region, or an unbalanced leave) fails this and every
+// later event of the rank.
 func (a *Analyzer) Feed(rank trace.Rank, ev trace.Event) (*Alert, error) {
 	if int(rank) < 0 || int(rank) >= len(a.ranks) {
 		return nil, fmt.Errorf("online: rank %d out of range", rank)
@@ -227,50 +198,18 @@ func (a *Analyzer) Feed(rank trace.Rank, ev trace.Event) (*Alert, error) {
 	}
 	rs.started = true
 	rs.lastTime = ev.Time
-
-	switch ev.Kind {
-	case trace.KindEnter:
-		if !validRegion(a.regions, ev.Region) {
-			return nil, fmt.Errorf("online: rank %d: undefined region %d", rank, ev.Region)
-		}
-		if ev.Region == a.region {
-			if rs.domDepth == 0 {
-				rs.cur = segment.Segment{Rank: rank, Index: rs.count, Start: ev.Time}
-			}
-			rs.domDepth++
-		}
-		if rs.domDepth > 0 && a.cls.IsSync(a.regions[ev.Region]) {
-			if rs.syncDepth == 0 {
-				rs.syncStart = ev.Time
-			}
-			rs.syncDepth++
-		}
-	case trace.KindLeave:
-		if !validRegion(a.regions, ev.Region) {
-			return nil, fmt.Errorf("online: rank %d: undefined region %d", rank, ev.Region)
-		}
-		if rs.domDepth > 0 && a.cls.IsSync(a.regions[ev.Region]) {
-			rs.syncDepth--
-			if rs.syncDepth == 0 {
-				rs.cur.Sync += ev.Time - rs.syncStart
-			}
-			if rs.syncDepth < 0 {
-				return nil, fmt.Errorf("online: rank %d: unbalanced sync nesting", rank)
-			}
-		}
-		if ev.Region == a.region {
-			rs.domDepth--
-			if rs.domDepth < 0 {
-				return nil, fmt.Errorf("online: rank %d: leave of dominant region without enter", rank)
-			}
-			if rs.domDepth == 0 {
-				rs.cur.End = ev.Time
-				rs.count++
-				return a.complete(rs.cur), nil
-			}
-		}
+	if (ev.Kind == trace.KindEnter || ev.Kind == trace.KindLeave) && !validRegion(a.regions, ev.Region) {
+		return nil, fmt.Errorf("online: rank %d: undefined region %d", rank, ev.Region)
 	}
-	return nil, nil
+	rs.seg.Feed(ev)
+	if err := rs.seg.Err(); err != nil {
+		return nil, fmt.Errorf("online: %w", err)
+	}
+	var alert *Alert
+	for _, seg := range rs.seg.Drain(a.region) {
+		alert = a.complete(seg)
+	}
+	return alert, nil
 }
 
 func validRegion(regions []trace.Region, id trace.RegionID) bool {

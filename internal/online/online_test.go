@@ -1,6 +1,7 @@
 package online
 
 import (
+	"errors"
 	"testing"
 
 	"perfvar/internal/core/imbalance"
@@ -90,11 +91,14 @@ func TestOnlineMatchesOfflineSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Config{Ranks: tr.NumRanks(), Regions: tr.Regions, Dominant: dom, Options: Options{Warmup: 1 << 30}}.NewAnalyzer()
+	var got []segment.Segment
+	a, err := Config{
+		Ranks: tr.NumRanks(), Regions: tr.Regions, Dominant: dom, Options: Options{Warmup: 1 << 30},
+		OnSegment: func(seg segment.Segment, _ float64, _, _ bool) { got = append(got, seg) },
+	}.NewAnalyzer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []segment.Segment
 	idx := make([]int, tr.NumRanks())
 	for {
 		bestRank := -1
@@ -113,14 +117,8 @@ func TestOnlineMatchesOfflineSegments(t *testing.T) {
 		}
 		ev := tr.Procs[bestRank].Events[idx[bestRank]]
 		idx[bestRank]++
-		// Track completions via the per-rank count rather than alerts.
-		before := a.SeenSegments()
 		if _, err := a.Feed(trace.Rank(bestRank), ev); err != nil {
 			t.Fatal(err)
-		}
-		if a.SeenSegments() > before {
-			rs := a.ranks[bestRank]
-			got = append(got, rs.cur)
 		}
 	}
 	if len(got) != m.TotalSegments() {
@@ -163,17 +161,15 @@ func TestOnlineAgreesWithOfflineHotspot(t *testing.T) {
 	_ = cfg
 }
 
-// TestOnlineErrors exercises the deprecated positional constructor on
-// purpose: New must keep validating exactly as Config.NewAnalyzer does.
 func TestOnlineErrors(t *testing.T) {
 	regions := []trace.Region{{ID: 0, Name: "f", Paradigm: trace.ParadigmUser}}
-	if _, err := New(0, regions, 0, nil, Options{}); err == nil {
+	if _, err := (Config{Ranks: 0, Regions: regions}).NewAnalyzer(); err == nil {
 		t.Error("nranks=0 accepted")
 	}
-	if _, err := New(2, regions, 5, nil, Options{}); err == nil {
+	if _, err := (Config{Ranks: 2, Regions: regions, Dominant: 5}).NewAnalyzer(); err == nil {
 		t.Error("undefined dominant accepted")
 	}
-	a, err := New(1, regions, 0, nil, Options{})
+	a, err := Config{Ranks: 1, Regions: regions}.NewAnalyzer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,36 +309,6 @@ func TestConfigNewAnalyzer(t *testing.T) {
 	}
 }
 
-// TestDeprecatedNewMatchesConfig pins the wrapper: the positional
-// constructor must build an analyzer equivalent to the Config form.
-func TestDeprecatedNewMatchesConfig(t *testing.T) {
-	tr, _, dom := fd4Fixture(t)
-	old, err := New(tr.NumRanks(), tr.Regions, dom, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := Config{Ranks: tr.NumRanks(), Regions: tr.Regions, Dominant: dom}.NewAnalyzer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := old.FeedTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := cfg.FeedTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a1) != len(a2) || len(a1) == 0 {
-		t.Fatalf("wrapper and Config disagree: %d vs %d alerts", len(a1), len(a2))
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatalf("alert %d differs: %+v vs %+v", i, a1[i], a2[i])
-		}
-	}
-}
-
 // feedUniformThenCandidate drives one rank through n identical segments
 // (building a zero-MAD baseline) and then one candidate segment of the
 // given duration, returning the candidate's alert (or nil).
@@ -408,27 +374,6 @@ func TestMinRelDeviationSemantics(t *testing.T) {
 	}
 }
 
-func TestLegacyMinRelDeviationShim(t *testing.T) {
-	if LegacyMinRelDeviation(0) != nil {
-		t.Error("legacy 0 must map to nil (default)")
-	}
-	if p := LegacyMinRelDeviation(-1); p == nil || *p >= 0 {
-		t.Errorf("legacy negative must stay negative (disable): %v", p)
-	}
-	if p := LegacyMinRelDeviation(0.1); p == nil || *p != 0.1 {
-		t.Errorf("legacy positive must pass through: %v", p)
-	}
-	// Behavioral: the shim of the old sentinels matches the old gate.
-	const n, base = 40, 1000
-	small := trace.Duration(base * 101 / 100)
-	if al := feedUniformThenCandidate(t, Options{Warmup: 4, MinRelDeviation: LegacyMinRelDeviation(0)}, n, base, small); al != nil {
-		t.Error("legacy 0 (default 5%) alerted on +1% excess")
-	}
-	if al := feedUniformThenCandidate(t, Options{Warmup: 4, MinRelDeviation: LegacyMinRelDeviation(-1)}, n, base, small); al == nil {
-		t.Error("legacy negative (disabled gate) missed +1% excess")
-	}
-}
-
 // TestOnSegmentHook pins the per-segment observer: every completion is
 // observed exactly once, warmup completions arrive unscored, and the
 // alerted flag matches what Feed returns.
@@ -486,6 +431,103 @@ func TestOnSegmentHook(t *testing.T) {
 	for i, o := range seen {
 		if wantScored := i >= 6; o.scored != wantScored {
 			t.Fatalf("completion %d: scored=%v, want %v", i, o.scored, wantScored)
+		}
+	}
+}
+
+// TestOnlineMismatchedLeaveErrors pins the kernel's structural contract:
+// a leave that does not match the innermost open region fails even when
+// neither region is the dominant one, and the rank stays failed.
+func TestOnlineMismatchedLeaveErrors(t *testing.T) {
+	regions := []trace.Region{
+		{ID: 0, Name: "f", Paradigm: trace.ParadigmUser},
+		{ID: 1, Name: "g", Paradigm: trace.ParadigmUser},
+		{ID: 2, Name: "h", Paradigm: trace.ParadigmUser},
+	}
+	a, err := Config{Ranks: 2, Regions: regions}.NewAnalyzer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []trace.Event{trace.Enter(0, 1), trace.Enter(1, 2)} {
+		if _, err := a.Feed(0, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.Feed(0, trace.Leave(2, 1)); err == nil {
+		t.Fatal("mismatched leave of a non-dominant region accepted")
+	}
+	if _, err := a.Feed(0, trace.Leave(3, 2)); err == nil {
+		t.Fatal("rank accepted events after a structural violation")
+	}
+	// Other ranks are unaffected.
+	if _, err := a.Feed(1, trace.Enter(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Feed(1, trace.Leave(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if a.SeenSegments() != 1 {
+		t.Fatalf("seen %d segments, want 1", a.SeenSegments())
+	}
+}
+
+// TestOnlineRejectsSyncDominant pins construction-time validation: a
+// dominant region the classifier counts as synchronization would make
+// every SOS-time zero, so NewAnalyzer refuses it as Compute does.
+func TestOnlineRejectsSyncDominant(t *testing.T) {
+	regions := []trace.Region{
+		{ID: 0, Name: "f", Paradigm: trace.ParadigmUser},
+		{ID: 1, Name: "MPI_Wait", Paradigm: trace.ParadigmMPI, Role: trace.RoleWait},
+	}
+	_, err := Config{Ranks: 1, Regions: regions, DominantName: "MPI_Wait"}.NewAnalyzer()
+	if !errors.Is(err, segment.ErrSyncRegion) {
+		t.Fatalf("sync dominant: err = %v, want ErrSyncRegion", err)
+	}
+	if _, err := (Config{Ranks: 1, Regions: regions, DominantName: "MPI_Wait", Classifier: segment.ParadigmSync{}}).NewAnalyzer(); err != nil {
+		t.Fatalf("dominant rejected under a classifier that does not count it as sync: %v", err)
+	}
+}
+
+// TestOnlineRetainsNoSegments pins bounded session memory: completed
+// segments are handed to the detector as they close and never buffered,
+// while Index keeps counting per rank across the hand-offs.
+func TestOnlineRetainsNoSegments(t *testing.T) {
+	regions := []trace.Region{
+		{ID: 0, Name: "f", Paradigm: trace.ParadigmUser},
+		{ID: 1, Name: "MPI_Barrier", Paradigm: trace.ParadigmMPI, Role: trace.RoleBarrier},
+	}
+	var got []segment.Segment
+	a, err := Config{
+		Ranks: 2, Regions: regions,
+		OnSegment: func(seg segment.Segment, _ float64, _, _ bool) { got = append(got, seg) },
+	}.NewAnalyzer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := trace.Time(0)
+	for i := 0; i < 100; i++ {
+		rank := trace.Rank(i % 2)
+		for _, ev := range []trace.Event{
+			trace.Enter(now, 0), trace.Enter(now+2, 1), trace.Leave(now+5, 1), trace.Leave(now+10, 0),
+		} {
+			if _, err := a.Feed(rank, ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now += 10
+		for r := range a.ranks {
+			if segs, _ := a.ranks[r].seg.Segments(0); len(segs) != 0 {
+				t.Fatalf("rank %d retains %d segments", r, len(segs))
+			}
+		}
+	}
+	if len(got) != 100 {
+		t.Fatalf("observed %d segments, want 100", len(got))
+	}
+	for i, seg := range got {
+		want := segment.Segment{Rank: trace.Rank(i % 2), Index: i / 2, Start: trace.Time(10 * i), End: trace.Time(10*i + 10), Sync: 3}
+		if seg != want {
+			t.Fatalf("segment %d = %+v, want %+v", i, seg, want)
 		}
 	}
 }
