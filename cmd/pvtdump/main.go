@@ -58,7 +58,8 @@ func main() {
 		}
 		return
 	}
-	tr, err := loadRaw(*tracePath)
+	// Read without validating, so damaged traces can be inspected.
+	tr, err := trace.ReadAnyFile(*tracePath)
 	if err != nil {
 		fatal(err)
 	}
@@ -136,26 +137,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// loadRaw reads an archive without validating it, so damaged traces can
-// be inspected and diagnosed. The file-or-directory decision is made on
-// the opened handle, so a concurrently swapped path cannot route the
-// handle to the wrong decoder.
-func loadRaw(path string) (*perfvar.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if fi.IsDir() {
-		return trace.ReadDir(path)
-	}
-	return trace.ReadAny(f)
 }
 
 // streamSummary prints the summary line (and optionally the definition

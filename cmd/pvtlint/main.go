@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		} else {
 			var err error
-			tr, err = loadRaw(path)
+			tr, err = trace.ReadAnyFile(path)
 			if err != nil {
 				fmt.Fprintln(stderr, "pvtlint:", err)
 				return 2
@@ -165,14 +165,6 @@ func lintStream(path string, opts lint.Options) (*lint.Result, error) {
 	}
 	defer st.Close()
 	return lint.RunSource(context.Background(), st, opts)
-}
-
-// loadRaw reads an archive without validating it.
-func loadRaw(path string) (*trace.Trace, error) {
-	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		return trace.ReadDir(path)
-	}
-	return trace.ReadAnyFile(path)
 }
 
 func saveTrace(path string, tr *trace.Trace) error {

@@ -4,11 +4,8 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-
-	"perfvar/internal/parallel"
 )
 
 // Directory archive format: the multi-file sibling of the single-file
@@ -32,10 +29,7 @@ func rankFileName(rank int) string { return fmt.Sprintf("rank-%d.pvte", rank) }
 
 // WriteDir writes tr as a directory archive at dir (created if needed).
 func WriteDir(dir string, tr *Trace) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := writeAnchor(filepath.Join(dir, anchorName), tr); err != nil {
+	if err := WriteAnchor(dir, headerOf(tr)); err != nil {
 		return err
 	}
 	for rank := range tr.Procs {
@@ -64,45 +58,12 @@ func WriteAnchor(dir string, h *Header) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tr := New(h.Name, len(h.Procs))
-	tr.Regions = h.Regions
-	tr.Metrics = h.Metrics
-	for i := range h.Procs {
-		tr.Procs[i].Proc = h.Procs[i]
-	}
-	return writeAnchor(filepath.Join(dir, anchorName), tr)
-}
-
-func writeAnchor(path string, tr *Trace) error {
-	f, err := os.Create(path)
+	f, err := os.Create(filepath.Join(dir, anchorName))
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	enc := newEventEncoder(bw)
-	bw.WriteString(anchorMagic)
-	binary.Write(bw, binary.LittleEndian, uint32(formatVersion))
-	putStr := func(s string) {
-		enc.putUvarint(uint64(len(s)))
-		bw.WriteString(s)
-	}
-	putStr(tr.Name)
-	enc.putUvarint(uint64(len(tr.Regions)))
-	for _, r := range tr.Regions {
-		putStr(r.Name)
-		bw.WriteByte(byte(r.Paradigm))
-		bw.WriteByte(byte(r.Role))
-	}
-	enc.putUvarint(uint64(len(tr.Metrics)))
-	for _, m := range tr.Metrics {
-		putStr(m.Name)
-		putStr(m.Unit)
-		bw.WriteByte(byte(m.Mode))
-	}
-	enc.putUvarint(uint64(len(tr.Procs)))
-	for i := range tr.Procs {
-		putStr(tr.Procs[i].Proc.Name)
-	}
+	writeDefs(bw, anchorMagic, h)
 	if err := bw.Flush(); err != nil {
 		f.Close()
 		return err
@@ -110,167 +71,17 @@ func writeAnchor(path string, tr *Trace) error {
 	return f.Close()
 }
 
-// readAnchor parses the anchor file into an empty trace (definitions and
-// process table, no events).
-func readAnchor(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, formatf("anchor magic: %v", err)
-	}
-	if string(magic[:]) != anchorMagic {
-		return nil, formatf("anchor magic %q, want %q", magic[:], anchorMagic)
-	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, formatf("anchor version: %v", err)
-	}
-	if version != formatVersion {
-		return nil, formatf("anchor version %d, want %d", version, formatVersion)
-	}
-	readStr := func() (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		if n > maxStringLen {
-			return "", formatf("string length %d exceeds limit", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	name, err := readStr()
-	if err != nil {
-		return nil, formatf("anchor name: %v", err)
-	}
-	nregions, err := binary.ReadUvarint(br)
-	if err != nil || nregions > maxDefs {
-		return nil, formatf("anchor region count: n=%d err=%v", nregions, err)
-	}
-	tmp := &Trace{Name: name}
-	for i := uint64(0); i < nregions; i++ {
-		rname, err := readStr()
-		if err != nil {
-			return nil, formatf("anchor region %d: %v", i, err)
-		}
-		pb, err1 := br.ReadByte()
-		rb, err2 := br.ReadByte()
-		if err1 != nil || err2 != nil {
-			return nil, formatf("anchor region %d attrs", i)
-		}
-		tmp.Regions = append(tmp.Regions, Region{ID: RegionID(i), Name: rname, Paradigm: Paradigm(pb), Role: RegionRole(rb)})
-	}
-	nmetrics, err := binary.ReadUvarint(br)
-	if err != nil || nmetrics > maxDefs {
-		return nil, formatf("anchor metric count: n=%d err=%v", nmetrics, err)
-	}
-	for i := uint64(0); i < nmetrics; i++ {
-		mname, err := readStr()
-		if err != nil {
-			return nil, formatf("anchor metric %d: %v", i, err)
-		}
-		unit, err := readStr()
-		if err != nil {
-			return nil, formatf("anchor metric %d unit: %v", i, err)
-		}
-		mb, err := br.ReadByte()
-		if err != nil {
-			return nil, formatf("anchor metric %d mode: %v", i, err)
-		}
-		tmp.Metrics = append(tmp.Metrics, Metric{ID: MetricID(i), Name: mname, Unit: unit, Mode: MetricMode(mb)})
-	}
-	nprocs, err := binary.ReadUvarint(br)
-	if err != nil || nprocs > maxDefs {
-		return nil, formatf("anchor proc count: n=%d err=%v", nprocs, err)
-	}
-	out := New(name, int(nprocs))
-	out.Regions = tmp.Regions
-	out.Metrics = tmp.Metrics
-	for i := 0; i < int(nprocs); i++ {
-		pname, err := readStr()
-		if err != nil {
-			return nil, formatf("anchor proc %d: %v", i, err)
-		}
-		out.Procs[i].Proc.Name = pname
-	}
-	return out, nil
-}
-
-// ReadDir reads a directory archive. Missing rank files yield empty
-// streams (a rank that recorded nothing), corrupt ones an error. Rank
-// files are independently decodable, so they are read in parallel; on
-// failure the error of the lowest failing rank is reported, as a serial
-// loop would.
+// ReadDir reads a directory archive: OpenDirRankStreams, then every rank
+// file drained in parallel through StreamRank. Missing rank files yield
+// empty streams (a rank that recorded nothing), corrupt ones an error;
+// on failure the error of the lowest failing rank is reported, as a
+// serial loop would.
 func ReadDir(dir string) (*Trace, error) {
-	tr, err := readAnchor(filepath.Join(dir, anchorName))
+	ds, err := OpenDirRankStreams(dir)
 	if err != nil {
 		return nil, err
 	}
-	perRank, err := parallel.Map(len(tr.Procs), func(rank int) ([]Event, error) {
-		evs, err := readRankFile(filepath.Join(dir, rankFileName(rank)), rank, tr)
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return evs, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	for rank := range tr.Procs {
-		if perRank[rank] != nil {
-			tr.Procs[rank].Events = perRank[rank]
-		}
-	}
-	return tr, nil
-}
-
-func readRankFile(path string, rank int, tr *Trace) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, formatf("%s: magic: %v", path, err)
-	}
-	if string(magic[:]) != rankMagic {
-		return nil, formatf("%s: magic %q, want %q", path, magic[:], rankMagic)
-	}
-	fileRank, err := binary.ReadUvarint(br)
-	if err != nil || int(fileRank) != rank {
-		return nil, formatf("%s: rank %d, want %d (err=%v)", path, fileRank, rank, err)
-	}
-	var nev uint64
-	if err := binary.Read(br, binary.LittleEndian, &nev); err != nil {
-		return nil, formatf("%s: event count: %v", path, err)
-	}
-	if nev > maxEvents {
-		return nil, formatf("%s: event count %d exceeds limit", path, nev)
-	}
-	buf := windowPool.Get().(*[]byte)
-	defer windowPool.Put(buf)
-	dec := newStreamDecoder(br, *buf, uint64(len(tr.Regions)), uint64(len(tr.Metrics)), uint64(len(tr.Procs)))
-	// Cap the upfront allocation against absurd declared counts; append
-	// grows as real events actually decode.
-	evs := make([]Event, 0, min(nev, 1<<16))
-	for i := uint64(0); i < nev; i++ {
-		ev, err := dec.decode()
-		if err != nil {
-			return nil, formatf("%s: event %d: %v", path, i, err)
-		}
-		evs = append(evs, ev)
-	}
-	return evs, nil
+	return collect(ds)
 }
 
 // RankWriter incrementally writes one rank's event file — the

@@ -20,6 +20,10 @@ func TestDirRoundTrip(t *testing.T) {
 	if !tracesEqual(tr, got) {
 		t.Fatal("dir round trip mismatch")
 	}
+	// ReadAnyFile dispatches a directory path to ReadDir.
+	if got, err := ReadAnyFile(dir); err != nil || !tracesEqual(tr, got) {
+		t.Fatalf("ReadAnyFile on the directory: err = %v", err)
+	}
 	// The expected files exist.
 	for _, name := range []string{"anchor.pvta", "rank-0.pvte", "rank-1.pvte"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"perfvar/internal/parallel"
 )
 
 // Binary archive format ("PVTR", version 1):
@@ -41,8 +39,8 @@ const (
 var ErrFormat = errors.New("trace: bad archive")
 
 // ErrTooLarge reports an archive exceeding the byte limit handed to
-// ReadLimit (or ReadAnyLimit). Servers map it to 413; it is distinct
-// from ErrFormat because the archive may be perfectly well-formed.
+// ReadAnyLimit. Servers map it to 413; it is distinct from ErrFormat
+// because the archive may be perfectly well-formed.
 var ErrTooLarge = errors.New("trace: archive exceeds size limit")
 
 // cappedReader yields at most n bytes from r and fails with ErrTooLarge
@@ -85,13 +83,11 @@ func formatf(format string, args ...any) error {
 
 // Write encodes tr to w in the PVTR binary format.
 func Write(w io.Writer, tr *Trace) error {
-	h := &Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics}
 	counts := make([]uint64, len(tr.Procs))
 	for i := range tr.Procs {
-		h.Procs = append(h.Procs, tr.Procs[i].Proc)
 		counts[i] = uint64(len(tr.Procs[i].Events))
 	}
-	return WriteFrom(w, h, counts, func(rank int, emit func(Event) error) error {
+	return WriteFrom(w, headerOf(tr), counts, func(rank int, emit func(Event) error) error {
 		for _, ev := range tr.Procs[rank].Events {
 			if err := emit(ev); err != nil {
 				return err
@@ -99,6 +95,15 @@ func Write(w io.Writer, tr *Trace) error {
 		}
 		return nil
 	})
+}
+
+// headerOf returns tr's definitions as a Header.
+func headerOf(tr *Trace) *Header {
+	h := &Header{Name: tr.Name, Regions: tr.Regions, Metrics: tr.Metrics}
+	for i := range tr.Procs {
+		h.Procs = append(h.Procs, tr.Procs[i].Proc)
+	}
+	return h
 }
 
 // WriteFrom encodes a PVTR archive whose events are produced on demand:
@@ -115,41 +120,10 @@ func WriteFrom(w io.Writer, h *Header, counts []uint64, gen func(rank int, emit 
 		return formatf("WriteFrom: %d event counts for %d procs", len(counts), len(h.Procs))
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var scratch [binary.MaxVarintLen64]byte
-
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		bw.Write(scratch[:n])
-	}
-	putString := func(s string) {
-		putUvarint(uint64(len(s)))
-		bw.WriteString(s)
-	}
-
-	bw.WriteString(formatMagic)
-	binary.Write(bw, binary.LittleEndian, uint32(formatVersion))
-	putString(h.Name)
-
-	putUvarint(uint64(len(h.Regions)))
-	for _, r := range h.Regions {
-		putString(r.Name)
-		bw.WriteByte(byte(r.Paradigm))
-		bw.WriteByte(byte(r.Role))
-	}
-	putUvarint(uint64(len(h.Metrics)))
-	for _, m := range h.Metrics {
-		putString(m.Name)
-		putString(m.Unit)
-		bw.WriteByte(byte(m.Mode))
-	}
-	putUvarint(uint64(len(h.Procs)))
-	for i := range h.Procs {
-		putString(h.Procs[i].Name)
-	}
-
+	writeDefs(bw, formatMagic, h)
 	for rank := range h.Procs {
-		putUvarint(counts[rank])
 		enc := newEventEncoder(bw)
+		enc.putUvarint(counts[rank])
 		var emitted uint64
 		emit := func(ev Event) error {
 			if emitted >= counts[rank] {
@@ -172,33 +146,44 @@ func WriteFrom(w io.Writer, h *Header, counts []uint64, gen func(rank int, emit 
 	return bw.Flush()
 }
 
-// Read decodes a PVTR archive from r with no size cap. Use ReadLimit for
-// untrusted inputs.
-func Read(r io.Reader) (*Trace, error) { return ReadLimit(r, 0) }
-
-// ReadLimit decodes a PVTR archive from r, reading at most limit bytes.
-// An archive that runs past the cap fails with an error satisfying
-// errors.Is(err, ErrTooLarge) — the guard that keeps one oversized or
-// corrupt upload from slurping unbounded memory. limit <= 0 means no
-// cap.
-func ReadLimit(r io.Reader, limit int64) (*Trace, error) {
-	if limit <= 0 {
-		return readArchive(r)
+// writeDefs encodes the definitions preamble shared by PVTR archives and
+// directory-archive anchors, which differ only in their magic. Write
+// errors stick in bw and surface on its Flush.
+func writeDefs(bw *bufio.Writer, magic string, h *Header) {
+	enc := newEventEncoder(bw)
+	putString := func(s string) {
+		enc.putUvarint(uint64(len(s)))
+		bw.WriteString(s)
 	}
-	cr := &cappedReader{r: r, n: limit}
-	tr, err := readArchive(cr)
-	if err != nil && cr.tripped {
-		return nil, fmt.Errorf("%w (limit %d bytes)", ErrTooLarge, limit)
+	bw.WriteString(magic)
+	binary.Write(bw, binary.LittleEndian, uint32(formatVersion))
+	putString(h.Name)
+	enc.putUvarint(uint64(len(h.Regions)))
+	for _, r := range h.Regions {
+		putString(r.Name)
+		bw.WriteByte(byte(r.Paradigm))
+		bw.WriteByte(byte(r.Role))
 	}
-	return tr, err
+	enc.putUvarint(uint64(len(h.Metrics)))
+	for _, m := range h.Metrics {
+		putString(m.Name)
+		putString(m.Unit)
+		bw.WriteByte(byte(m.Mode))
+	}
+	enc.putUvarint(uint64(len(h.Procs)))
+	for _, p := range h.Procs {
+		putString(p.Name)
+	}
 }
 
-func readArchive(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
+// readDefs parses the definitions preamble written by writeDefs — magic,
+// version, name, regions, metrics, procs — leaving br positioned just
+// past it. It is the one definitions decoder behind every binary reader.
+// Declared counts are only checked against maxDefs: entries are appended
+// as they decode, so a short input cannot claim a large allocation.
+func readDefs(br byteReader, magic string) (*Header, error) {
 	readString := func() (string, error) {
-		n, err := readUvarint()
+		n, err := binary.ReadUvarint(br)
 		if err != nil {
 			return "", err
 		}
@@ -211,37 +196,39 @@ func readArchive(r io.Reader) (*Trace, error) {
 		}
 		return string(buf), nil
 	}
+	readCount := func(what string) (uint64, error) {
+		n, err := binary.ReadUvarint(br)
+		if err != nil || n > maxDefs {
+			return 0, formatf("%s count: n=%d err=%v", what, n, err)
+		}
+		return n, nil
+	}
 
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	var head [8]byte
+	if _, err := io.ReadFull(br, head[:4]); err != nil {
 		return nil, formatf("reading magic: %v", err)
 	}
-	if string(magic[:]) != formatMagic {
-		return nil, formatf("magic %q, want %q", magic[:], formatMagic)
+	if string(head[:4]) != magic {
+		return nil, formatf("magic %q, want %q", head[:4], magic)
 	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	if _, err := io.ReadFull(br, head[4:]); err != nil {
 		return nil, formatf("reading version: %v", err)
 	}
-	if version != formatVersion {
+	if version := binary.LittleEndian.Uint32(head[4:]); version != formatVersion {
 		return nil, formatf("version %d, want %d", version, formatVersion)
 	}
 
-	name, err := readString()
-	if err != nil {
+	h := &Header{}
+	var err error
+	if h.Name, err = readString(); err != nil {
 		return nil, formatf("reading name: %v", err)
 	}
-
-	nregions, err := readUvarint()
-	if err != nil || nregions > maxDefs {
-		return nil, formatf("region count: n=%d err=%v", nregions, err)
+	nregions, err := readCount("region")
+	if err != nil {
+		return nil, err
 	}
-	var regions []Region
-	if nregions > 0 {
-		regions = make([]Region, nregions)
-	}
-	for i := range regions {
-		rname, err := readString()
+	for i := uint64(0); i < nregions; i++ {
+		name, err := readString()
 		if err != nil {
 			return nil, formatf("region %d name: %v", i, err)
 		}
@@ -253,19 +240,14 @@ func readArchive(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, formatf("region %d role: %v", i, err)
 		}
-		regions[i] = Region{ID: RegionID(i), Name: rname, Paradigm: Paradigm(pb), Role: RegionRole(rb)}
+		h.Regions = append(h.Regions, Region{ID: RegionID(i), Name: name, Paradigm: Paradigm(pb), Role: RegionRole(rb)})
 	}
-
-	nmetrics, err := readUvarint()
-	if err != nil || nmetrics > maxDefs {
-		return nil, formatf("metric count: n=%d err=%v", nmetrics, err)
+	nmetrics, err := readCount("metric")
+	if err != nil {
+		return nil, err
 	}
-	var metrics []Metric
-	if nmetrics > 0 {
-		metrics = make([]Metric, nmetrics)
-	}
-	for i := range metrics {
-		mname, err := readString()
+	for i := uint64(0); i < nmetrics; i++ {
+		name, err := readString()
 		if err != nil {
 			return nil, formatf("metric %d name: %v", i, err)
 		}
@@ -277,89 +259,37 @@ func readArchive(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, formatf("metric %d mode: %v", i, err)
 		}
-		metrics[i] = Metric{ID: MetricID(i), Name: mname, Unit: unit, Mode: MetricMode(mb)}
+		h.Metrics = append(h.Metrics, Metric{ID: MetricID(i), Name: name, Unit: unit, Mode: MetricMode(mb)})
 	}
-
-	nprocs, err := readUvarint()
-	if err != nil || nprocs > maxDefs {
-		return nil, formatf("proc count: n=%d err=%v", nprocs, err)
-	}
-	tr := New(name, int(nprocs))
-	tr.Regions = regions
-	tr.Metrics = metrics
-	for i := 0; i < int(nprocs); i++ {
-		pname, err := readString()
-		if err != nil {
-			return nil, formatf("proc %d name: %v", i, err)
-		}
-		tr.Procs[i].Proc.Name = pname
-	}
-
-	// The event streams are varint/delta-encoded with no index, so the
-	// rank-block boundaries are unknown up front. Slurp the remainder and
-	// run a cheap serial framing scan (skipEvents) to locate each rank's
-	// byte span, then decode the independent blocks in parallel. A framing
-	// failure aborts the scan but the complete blocks before it still
-	// decode: a decode error on a lower rank outranks the scan error, so
-	// the reported failure is the same one a serial pass would hit first.
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return nil, formatf("reading event streams: %v", err)
-	}
-	type block struct {
-		nev  uint64
-		data []byte
-	}
-	blocks := make([]block, 0, int(nprocs))
-	off := 0
-	var scanErr error
-	for rank := 0; rank < int(nprocs); rank++ {
-		nev, sz := binary.Uvarint(rest[off:])
-		if sz <= 0 || nev > maxEvents {
-			scanErr = formatf("rank %d event count: n=%d truncated=%v", rank, nev, sz <= 0)
-			break
-		}
-		off += sz
-		blen, err := skipEvents(rest[off:], nev)
-		if err != nil {
-			scanErr = formatf("rank %d %v", rank, err)
-			break
-		}
-		blocks = append(blocks, block{nev: nev, data: rest[off : off+blen]})
-		off += blen
-	}
-	decoded, err := parallel.Map(len(blocks), func(rank int) ([]Event, error) {
-		blk := blocks[rank]
-		// Cap the upfront allocation: a corrupt header can declare an
-		// absurd count, but real events still have to frame byte by byte.
-		evs := make([]Event, 0, min(blk.nev, 1<<16))
-		dec := newSliceDecoder(blk.data, nregions, nmetrics, nprocs)
-		for i := uint64(0); i < blk.nev; i++ {
-			ev, err := dec.decode()
-			if err != nil {
-				return nil, formatf("rank %d event %d: %v", rank, i, err)
-			}
-			evs = append(evs, ev)
-		}
-		return evs, nil
-	})
+	nprocs, err := readCount("proc")
 	if err != nil {
 		return nil, err
 	}
-	if scanErr != nil {
-		return nil, scanErr
+	for i := uint64(0); i < nprocs; i++ {
+		name, err := readString()
+		if err != nil {
+			return nil, formatf("proc %d name: %v", i, err)
+		}
+		h.Procs = append(h.Procs, Process{Rank: Rank(i), Name: name})
 	}
-	for rank := range blocks {
-		tr.Procs[rank].Events = decoded[rank]
-	}
+	return h, nil
+}
 
-	if len(rest)-off < 4 {
-		return nil, formatf("reading end marker: %v", io.ErrUnexpectedEOF)
+// Read decodes a PVTR archive from r with no size cap; use ReadAnyLimit
+// for untrusted inputs. The archive is slurped and opened with
+// OpenRankStreamsBytes, whose framing scan locates and checks every rank
+// block, and the blocks then decode in parallel through the same
+// StreamRank the streaming engine uses.
+func Read(r io.Reader) (*Trace, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, formatf("reading archive: %v", err)
 	}
-	if got := string(rest[off : off+4]); got != formatEnd {
-		return nil, formatf("end marker %q, want %q", got, formatEnd)
+	rs, err := OpenRankStreamsBytes(data)
+	if err != nil {
+		return nil, err
 	}
-	return tr, nil
+	return collect(rs)
 }
 
 // WriteFile writes tr to path in the PVTR binary format.
@@ -373,14 +303,4 @@ func WriteFile(path string, tr *Trace) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadFile reads a PVTR archive from path.
-func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }

@@ -35,14 +35,8 @@ func tracesEqual(a, b *Trace) bool {
 		if a.Procs[i].Proc != b.Procs[i].Proc {
 			return false
 		}
-		ae, be := a.Procs[i].Events, b.Procs[i].Events
-		if len(ae) != len(be) {
+		if !sameEvents(a.Procs[i].Events, b.Procs[i].Events) {
 			return false
-		}
-		for j := range ae {
-			if ae[j] != be[j] {
-				return false
-			}
 		}
 	}
 	return true
@@ -206,15 +200,15 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := WriteFile(path, tr); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := ReadFile(path)
+	got, err := ReadAnyFile(path)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("ReadAnyFile: %v", err)
 	}
 	if !tracesEqual(tr, got) {
 		t.Fatal("file round trip mismatch")
 	}
-	if _, err := ReadFile(filepath.Join(t.TempDir(), "missing.pvt")); err == nil {
-		t.Fatal("ReadFile on missing path succeeded")
+	if _, err := ReadAnyFile(filepath.Join(t.TempDir(), "missing.pvt")); err == nil {
+		t.Fatal("ReadAnyFile on missing path succeeded")
 	}
 }
 
@@ -226,24 +220,24 @@ func TestReadLimitRejectsOversizedArchive(t *testing.T) {
 	encoded := buf.Bytes()
 
 	// Under the limit: decodes normally.
-	if _, err := ReadLimit(bytes.NewReader(encoded), int64(len(encoded))); err != nil {
-		t.Fatalf("ReadLimit at exact size: %v", err)
+	if _, err := ReadAnyLimit(bytes.NewReader(encoded), int64(len(encoded))); err != nil {
+		t.Fatalf("ReadAnyLimit at exact size: %v", err)
 	}
 	// One byte short: the typed too-large error, not a generic format one.
-	_, err := ReadLimit(bytes.NewReader(encoded), int64(len(encoded))-1)
+	_, err := ReadAnyLimit(bytes.NewReader(encoded), int64(len(encoded))-1)
 	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("ReadLimit under size: err = %v, want ErrTooLarge", err)
+		t.Fatalf("ReadAnyLimit under size: err = %v, want ErrTooLarge", err)
 	}
 	// A stream that never ends must not be slurped to OOM: the reader
-	// stops at the cap. endlessReader yields valid header bytes followed
+	// stops at the cap. endless yields valid header bytes followed
 	// by zeros forever.
 	endless := io.MultiReader(bytes.NewReader(encoded[:len(encoded)-4]), zeros{})
-	if _, err := ReadLimit(endless, 1<<20); !errors.Is(err, ErrTooLarge) {
+	if _, err := ReadAnyLimit(endless, 1<<20); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("endless stream: err = %v, want ErrTooLarge", err)
 	}
 	// limit <= 0 means uncapped.
-	if _, err := ReadLimit(bytes.NewReader(encoded), 0); err != nil {
-		t.Fatalf("uncapped ReadLimit: %v", err)
+	if _, err := ReadAnyLimit(bytes.NewReader(encoded), 0); err != nil {
+		t.Fatalf("uncapped ReadAnyLimit: %v", err)
 	}
 }
 

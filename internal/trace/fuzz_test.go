@@ -2,13 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
 // Fuzz targets: the decoders must never panic on arbitrary input, and
 // anything they accept must re-encode successfully. Run with
-// `go test -fuzz=FuzzReadBinary ./internal/trace` for active fuzzing;
-// plain `go test` replays the seed corpus.
+// `go test -run '^$' -fuzz=FuzzReadBinary ./internal/trace` for active
+// fuzzing; plain `go test` replays the seed corpus.
 
 func binarySeed() []byte {
 	var buf bytes.Buffer
@@ -54,8 +59,19 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(brokenSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
+		// The per-rank streams the engine decodes through must agree:
+		// same acceptance, same events.
+		streamed, serr := drainStreams(data)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("Read err = %v, per-rank streams err = %v", err, serr)
+		}
 		if err != nil {
 			return
+		}
+		for rank := range tr.Procs {
+			if !sameEvents(tr.Procs[rank].Events, streamed[rank]) {
+				t.Fatalf("rank %d: per-rank stream differs from Read", rank)
+			}
 		}
 		// Accepted input must be re-encodable unless it is unsorted (the
 		// writer rejects unsorted streams, which the reader cannot
@@ -119,5 +135,140 @@ func FuzzStream(f *testing.F) {
 			}
 			return nil
 		})
+	})
+}
+
+// drainStreams decodes every rank of the PVTR archive in data through
+// OpenRankStreamsBytes and StreamRank.
+func drainStreams(data []byte) ([][]Event, error) {
+	rs, err := OpenRankStreamsBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Event, rs.NumRanks())
+	for rank := range out {
+		if err := rs.StreamRank(rank, func(ev Event) error {
+			out[rank] = append(out[rank], ev)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// sameEvents is reflect.DeepEqual on event slices, except that metric
+// values compare bit for bit: a decoded NaN sample is never DeepEqual to
+// itself, yet it round-trips exactly.
+func sameEvents(a, b []Event) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if math.Float64bits(x.Value) != math.Float64bits(y.Value) {
+			return false
+		}
+		x.Value, y.Value = 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// sameTrace is reflect.DeepEqual on traces with events compared by
+// sameEvents.
+func sameTrace(a, b *Trace) bool {
+	if !tracesEqual(a, b) {
+		return false
+	}
+	for i := range a.Procs {
+		if (a.Procs[i].Events == nil) != (b.Procs[i].Events == nil) {
+			return false
+		}
+	}
+	return true
+}
+
+// dirSeed writes validTwoRankTrace as a directory archive and returns
+// its anchor and rank-0 file bytes.
+func dirSeed() (anchor, rank0 []byte) {
+	dir, err := os.MkdirTemp("", "fuzzdir")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	if err := WriteDir(dir, validTwoRankTrace()); err != nil {
+		panic(err)
+	}
+	if anchor, err = os.ReadFile(filepath.Join(dir, anchorName)); err != nil {
+		panic(err)
+	}
+	if rank0, err = os.ReadFile(filepath.Join(dir, rankFileName(0))); err != nil {
+		panic(err)
+	}
+	return anchor, rank0
+}
+
+// FuzzReadDir fuzzes opening a directory archive: the anchor and the
+// rank-0 event file (absent when empty; every other rank's file is
+// absent). ReadDir and the per-rank DirStreams must never panic, must
+// fail only with format or file-system errors, and must agree; an
+// accepted trace must round-trip through WriteDir and ReadDir.
+func FuzzReadDir(f *testing.F) {
+	anchor, rank0 := dirSeed()
+	f.Add(anchor, rank0)
+	f.Add(anchor, []byte{})
+	f.Add(anchor, rank0[:len(rank0)/2])
+	f.Add(anchor[:len(anchor)/2], rank0)
+	f.Add([]byte("PVTA\x01\x00\x00\x00\x00\x00\x00\x01\x00"), []byte("PVTE\x00\x00\x00\x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("PVTR\x01\x00\x00\x00\x00\x00\x00\x00"), []byte{})
+	f.Fuzz(func(t *testing.T, anchor, rank0 []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, anchorName), anchor, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if len(rank0) > 0 {
+			if err := os.WriteFile(filepath.Join(dir, rankFileName(0)), rank0, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		typed := func(err error) bool {
+			var pe *fs.PathError
+			return errors.Is(err, ErrFormat) || errors.As(err, &pe)
+		}
+		tr, err := ReadDir(dir)
+		if err != nil && !typed(err) {
+			t.Fatalf("ReadDir: untyped error %v", err)
+		}
+		var serr error
+		if ds, oerr := OpenDirRankStreams(dir); oerr != nil {
+			serr = oerr
+		} else {
+			for rank := 0; rank < ds.NumRanks() && serr == nil; rank++ {
+				serr = ds.StreamRank(rank, func(Event) error { return nil })
+			}
+		}
+		if serr != nil && !typed(serr) {
+			t.Fatalf("DirStreams: untyped error %v", serr)
+		}
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("ReadDir err = %v, DirStreams err = %v", err, serr)
+		}
+		if err != nil {
+			return
+		}
+		out := t.TempDir()
+		if err := WriteDir(out, tr); err != nil {
+			t.Fatalf("WriteDir of accepted trace: %v", err)
+		}
+		back, err := ReadDir(out)
+		if err != nil {
+			t.Fatalf("ReadDir of rewritten trace: %v", err)
+		}
+		if !sameTrace(tr, back) {
+			t.Fatal("directory round trip changed the trace")
+		}
 	})
 }

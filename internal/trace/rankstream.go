@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+
+	"perfvar/internal/parallel"
 )
 
 // Resumable per-rank stream readers. OpenRankStreams scans a PVTR
@@ -125,7 +128,7 @@ func OpenRankStreams(src io.ReaderAt, size int64) (*RankStreams, error) {
 	br.Reset(io.NewSectionReader(src, 0, size))
 	defer decodeBufPool.Put(br)
 	cr := &countingReader{br: br}
-	h, err := readHeader(cr)
+	h, err := readDefs(cr, formatMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +160,7 @@ func OpenRankStreams(src io.ReaderAt, size int64) (*RankStreams, error) {
 // behind uploaded-archive analysis.
 func OpenRankStreamsBytes(data []byte) (*RankStreams, error) {
 	r := bytes.NewReader(data)
-	h, err := readHeader(r)
+	h, err := readDefs(r, formatMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -196,10 +199,17 @@ func (rs *RankStreams) NumRanks() int { return len(rs.spans) }
 // are resumable; calls for different ranks may run concurrently.
 // Returning ErrStopStream from fn ends the stream early without error.
 func (rs *RankStreams) StreamRank(rank int, fn func(Event) error) error {
+	return rs.streamRank(rank, nil, fn)
+}
+
+func (rs *RankStreams) streamRank(rank int, sized func(nev uint64), fn func(Event) error) error {
 	if rank < 0 || rank >= len(rs.spans) {
 		return formatf("rank %d out of range", rank)
 	}
 	sp := rs.spans[rank]
+	if sized != nil {
+		sized(sp.nev)
+	}
 	nregions := uint64(len(rs.header.Regions))
 	nmetrics := uint64(len(rs.header.Metrics))
 	nprocs := uint64(len(rs.header.Procs))
@@ -237,13 +247,18 @@ type DirStreams struct {
 // OpenDirRankStreams opens the directory archive at dir for per-rank
 // streaming. Missing rank files stream zero events, mirroring ReadDir.
 func OpenDirRankStreams(dir string) (*DirStreams, error) {
-	anchor, err := readAnchor(filepath.Join(dir, anchorName))
+	path := filepath.Join(dir, anchorName)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	h := &Header{Name: anchor.Name, Regions: anchor.Regions, Metrics: anchor.Metrics}
-	for i := range anchor.Procs {
-		h.Procs = append(h.Procs, anchor.Procs[i].Proc)
+	defer f.Close()
+	br := decodeBufPool.Get().(*bufio.Reader)
+	br.Reset(f)
+	defer decodeBufPool.Put(br)
+	h, err := readDefs(br, anchorMagic)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &DirStreams{header: h, dir: dir}, nil
 }
@@ -259,6 +274,10 @@ func (ds *DirStreams) NumRanks() int { return len(ds.header.Procs) }
 // calls for different ranks may run concurrently. Returning ErrStopStream
 // from fn ends the stream early without error.
 func (ds *DirStreams) StreamRank(rank int, fn func(Event) error) error {
+	return ds.streamRank(rank, nil, fn)
+}
+
+func (ds *DirStreams) streamRank(rank int, sized func(nev uint64), fn func(Event) error) error {
 	if rank < 0 || rank >= len(ds.header.Procs) {
 		return formatf("rank %d out of range", rank)
 	}
@@ -289,8 +308,17 @@ func (ds *DirStreams) StreamRank(rank int, fn func(Event) error) error {
 	if err := binary.Read(br, binary.LittleEndian, &nev); err != nil {
 		return formatf("%s: event count: %v", path, err)
 	}
-	if nev > maxEvents {
-		return formatf("%s: event count %d exceeds limit", path, nev)
+	// Every event takes at least two bytes (kind and time delta), which
+	// bounds the count by the file size before anything is sized by it.
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if nev > maxEvents || nev > uint64(fi.Size())/2 {
+		return formatf("%s: event count %d exceeds limit or %d-byte file", path, nev, fi.Size())
+	}
+	if sized != nil {
+		sized(nev)
 	}
 	buf := windowPool.Get().(*[]byte)
 	defer windowPool.Put(buf)
@@ -308,4 +336,42 @@ func (ds *DirStreams) StreamRank(rank int, fn func(Event) error) error {
 		}
 	}
 	return nil
+}
+
+// rankSource is what collect drains: RankStreams or DirStreams.
+// streamRank is StreamRank that first reports the rank's event count —
+// bounded by the bytes backing it — to sized, when non-nil.
+type rankSource interface {
+	Header() *Header
+	streamRank(rank int, sized func(nev uint64), fn func(Event) error) error
+}
+
+// collect materializes src into a trace, draining every rank's stream in
+// parallel. Each rank's first allocation is sized by its reported event
+// count, capped so that append grows past the cap only as real events
+// decode. A rank that streams no events keeps a nil slice. On failure
+// the lowest failing rank's error is returned, as a serial loop would.
+func collect(src rankSource) (*Trace, error) {
+	h := src.Header()
+	perRank, err := parallel.Map(len(h.Procs), func(rank int) ([]Event, error) {
+		var evs []Event
+		sized := func(nev uint64) {
+			if nev > 0 {
+				evs = make([]Event, 0, min(nev, 1<<16))
+			}
+		}
+		err := src.streamRank(rank, sized, func(ev Event) error {
+			evs = append(evs, ev)
+			return nil
+		})
+		return evs, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr := &Trace{Name: h.Name, Regions: h.Regions, Metrics: h.Metrics, Procs: make([]ProcessTrace, len(h.Procs))}
+	for rank := range tr.Procs {
+		tr.Procs[rank] = ProcessTrace{Proc: h.Procs[rank], Events: perRank[rank]}
+	}
+	return tr, nil
 }

@@ -59,7 +59,7 @@ func TestOpenRankStreamsTruncatedLocatesFailure(t *testing.T) {
 func headerLen(t *testing.T, data []byte) int {
 	t.Helper()
 	r := bytes.NewReader(data)
-	if _, err := readHeader(r); err != nil {
+	if _, err := readDefs(r, formatMagic); err != nil {
 		t.Fatal(err)
 	}
 	return len(data) - r.Len()

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -26,112 +25,13 @@ type Header struct {
 // order. Returning a non-nil error aborts the stream.
 type StreamFunc func(rank Rank, ev Event) error
 
-// readHeader parses the PVTR preamble — magic, version, and definitions —
-// from br, leaving it positioned at the first rank's event count. It is
-// shared by the one-shot Stream reader and the resumable per-rank stream
-// reader (OpenRankStreams).
-func readHeader(br byteReader) (*Header, error) {
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > maxStringLen {
-			return "", formatf("string length %d exceeds limit", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	readByte := func() (byte, error) {
-		var b [1]byte
-		_, err := io.ReadFull(br, b[:])
-		return b[0], err
-	}
-
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, formatf("reading magic: %v", err)
-	}
-	if string(magic[:]) != formatMagic {
-		return nil, formatf("magic %q, want %q", magic[:], formatMagic)
-	}
-	var version uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, formatf("reading version: %v", err)
-	}
-	if version != formatVersion {
-		return nil, formatf("version %d, want %d", version, formatVersion)
-	}
-
-	h := &Header{}
-	var err error
-	if h.Name, err = readString(); err != nil {
-		return nil, formatf("reading name: %v", err)
-	}
-
-	nregions, err := readUvarint()
-	if err != nil || nregions > maxDefs {
-		return nil, formatf("region count: n=%d err=%v", nregions, err)
-	}
-	for i := uint64(0); i < nregions; i++ {
-		name, err := readString()
-		if err != nil {
-			return nil, formatf("region %d name: %v", i, err)
-		}
-		pb, err := readByte()
-		if err != nil {
-			return nil, formatf("region %d paradigm: %v", i, err)
-		}
-		rb, err := readByte()
-		if err != nil {
-			return nil, formatf("region %d role: %v", i, err)
-		}
-		h.Regions = append(h.Regions, Region{ID: RegionID(i), Name: name, Paradigm: Paradigm(pb), Role: RegionRole(rb)})
-	}
-	nmetrics, err := readUvarint()
-	if err != nil || nmetrics > maxDefs {
-		return nil, formatf("metric count: n=%d err=%v", nmetrics, err)
-	}
-	for i := uint64(0); i < nmetrics; i++ {
-		name, err := readString()
-		if err != nil {
-			return nil, formatf("metric %d name: %v", i, err)
-		}
-		unit, err := readString()
-		if err != nil {
-			return nil, formatf("metric %d unit: %v", i, err)
-		}
-		mb, err := readByte()
-		if err != nil {
-			return nil, formatf("metric %d mode: %v", i, err)
-		}
-		h.Metrics = append(h.Metrics, Metric{ID: MetricID(i), Name: name, Unit: unit, Mode: MetricMode(mb)})
-	}
-	nprocs, err := readUvarint()
-	if err != nil || nprocs > maxDefs {
-		return nil, formatf("proc count: n=%d err=%v", nprocs, err)
-	}
-	for i := uint64(0); i < nprocs; i++ {
-		name, err := readString()
-		if err != nil {
-			return nil, formatf("proc %d name: %v", i, err)
-		}
-		h.Procs = append(h.Procs, Process{Rank: Rank(i), Name: name})
-	}
-	return h, nil
-}
-
 // Stream decodes a binary PVTR archive from r without materializing the
 // event slices: definitions are parsed into a Header, then fn is invoked
 // per event. Memory use is O(definitions), independent of trace length —
 // the reader for traces that do not fit in RAM.
 func Stream(r io.Reader, fn StreamFunc) (*Header, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	h, err := readHeader(br)
+	h, err := readDefs(br, formatMagic)
 	if err != nil {
 		return nil, err
 	}

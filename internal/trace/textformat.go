@@ -383,20 +383,37 @@ func readAny(r io.Reader, label string) (*Trace, error) {
 	}
 	switch string(magic) {
 	case formatMagic:
-		return readArchive(br)
+		return Read(br)
 	case textMagic:
 		return ReadText(br)
 	}
 	return nil, formatf("%s: unknown archive format (magic %q)", label, magic)
 }
 
-// ReadAnyFile reads a trace archive, auto-detecting the binary PVTR and
-// text pvtt formats by their leading magic bytes.
+// ReadAnyFile reads the trace archive at path in any format: a
+// directory archive, or a binary PVTR or text pvtt file told apart by
+// their leading magic bytes.
 func ReadAnyFile(path string) (*Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	return ReadOpened(f, path)
+}
+
+// ReadOpened decodes the already-opened archive f found at path: a
+// directory is read with ReadDir, anything else as ReadAny reads it. The
+// file-or-directory decision stats the handle, not the path, so a path
+// swapped between open and stat cannot route the handle to the wrong
+// decoder.
+func ReadOpened(f *os.File, path string) (*Trace, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.IsDir() {
+		return ReadDir(path)
+	}
 	return readAny(f, path)
 }

@@ -470,21 +470,10 @@ func LoadTrace(path string) (*Trace, error) {
 	return loadOpenTrace(f, path)
 }
 
-// loadOpenTrace decodes the already-opened archive f. The
-// file-or-directory decision is made by statting the handle, not the
-// path, so a path swapped between open and stat cannot route the handle
-// to the wrong decoder.
+// loadOpenTrace decodes and validates the already-opened archive f
+// (trace.ReadOpened binds the file-or-directory decision to the handle).
 func loadOpenTrace(f *os.File, path string) (*Trace, error) {
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	var tr *Trace
-	if fi.IsDir() {
-		tr, err = trace.ReadDir(path)
-	} else {
-		tr, err = trace.ReadAny(f)
-	}
+	tr, err := trace.ReadOpened(f, path)
 	if err != nil {
 		return nil, err
 	}
